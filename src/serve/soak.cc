@@ -1,6 +1,7 @@
 #include "serve/soak.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -97,6 +98,30 @@ makeRequest(const SoakConfig &config, Rng &rng, uint64_t graph_id,
     return request;
 }
 
+/**
+ * --inject-stall: wedges the first attempt any worker plans in a
+ * no-heartbeat stall until the watchdog cancels it; every other
+ * attempt follows the run's chaos scenario ("off" without --chaos).
+ */
+class StallFirstAttempt final : public ChaosEngine
+{
+  public:
+    using ChaosEngine::ChaosEngine;
+
+    ChaosAttemptPlan planAttempt(uint64_t seq, unsigned attempt,
+                                 unsigned tier,
+                                 uint64_t now_ns) const override
+    {
+        if (!stalled_.exchange(true))
+            return {ChaosAttemptPlan::Action::kStall,
+                    ChaosAttemptPlan::kUntilCancelled};
+        return ChaosEngine::planAttempt(seq, attempt, tier, now_ns);
+    }
+
+  private:
+    mutable std::atomic<bool> stalled_{false};
+};
+
 void
 appendHistogramJson(std::ostringstream &os, const char *name,
                     const LogHistogram &h, bool last)
@@ -176,9 +201,14 @@ runServeSoak(const SoakConfig &config)
             fatal(strCat("serve-soak: ",
                          looked_up.status().toString()));
         profile = std::move(*looked_up);
-        chaos = std::make_unique<ChaosEngine>(
-            config.seed ^ 0xc4a05c4a05ull, profile.scenario);
     }
+    const uint64_t chaos_seed = config.seed ^ 0xc4a05c4a05ull;
+    if (config.inject_stall && !config.virtual_time)
+        chaos = std::make_unique<StallFirstAttempt>(chaos_seed,
+                                                    profile.scenario);
+    else if (!config.chaos_scenario.empty())
+        chaos = std::make_unique<ChaosEngine>(chaos_seed,
+                                              profile.scenario);
     // Tenancy plane: a named scenario supplies both the policies and
     // the arrival mix; otherwise config.tenancy is used verbatim.
     TenancyOptions tenancy = config.tenancy;
@@ -206,32 +236,20 @@ runServeSoak(const SoakConfig &config)
         options.virtual_clock = &vclock;
         options.virtual_ns_per_mac = config.virtual_ns_per_mac;
     }
+    options.chaos = chaos.get();
     if (chaos) {
-        options.chaos = chaos.get();
         options.breaker = profile.breaker;
         options.retry_budget = profile.retry_budget;
         options.hedge = profile.hedge;
         options.health = profile.health;
     }
     if (config.inject_stall && !config.virtual_time) {
-        // Wedge exactly one attempt (the first dispatched) in a
-        // no-heartbeat loop until the watchdog breaks it; clamp the
-        // timeout so the postmortem fires well inside the run.
+        // Clamp the watchdog so the postmortem fires well inside the
+        // run; the engine wedges the first attempt.
         options.watchdog_timeout_ns = std::min<uint64_t>(
             options.watchdog_timeout_ns, 250'000'000);
         options.watchdog_poll_ns =
             std::min<uint64_t>(options.watchdog_poll_ns, 20'000'000);
-        auto stalled = std::make_shared<std::atomic<bool>>(false);
-        options.execution_hook =
-            [stalled](uint64_t, unsigned, const CancelToken &token) {
-                bool expected = false;
-                if (!stalled->compare_exchange_strong(expected, true))
-                    return Status();
-                while (!token.cancelled())
-                    std::this_thread::sleep_for(
-                        std::chrono::milliseconds(1));
-                return token.status();
-            };
     }
     InferenceServer server(options);
     Expected<uint64_t> graph_id = server.registerGraph(

@@ -467,24 +467,29 @@ TEST(BoundedQueue, TryPushRespectsCapacityAndFifoOrder)
     EXPECT_EQ(queue.tryPop(), std::nullopt);
 }
 
+/** Every entry in one group: the single-lane (tenancy-off) case. */
+constexpr auto kAnyEntry = [](const auto &) { return true; };
+
 TEST(BoundedQueue, PushEvictingDisplacesOnlyLessValuableEntries)
 {
     // Retention by plain int value: smaller is less worth keeping.
     const auto less = [](int a, int b) { return a < b; };
     BoundedQueue<int> queue(2);
     std::optional<int> evicted;
-    EXPECT_EQ(queue.pushEvicting(10, less, evicted), QueuePush::kPushed);
-    EXPECT_EQ(queue.pushEvicting(20, less, evicted), QueuePush::kPushed);
+    const auto push = [&](int value) {
+        return queue.pushEvictingWithin(std::move(value), less, kAnyEntry,
+                                        false, evicted);
+    };
+    EXPECT_EQ(push(10), QueuePush::kPushed);
+    EXPECT_EQ(push(20), QueuePush::kPushed);
     EXPECT_FALSE(evicted.has_value());
 
     // Full: a more valuable arrival displaces the minimum...
-    EXPECT_EQ(queue.pushEvicting(30, less, evicted),
-              QueuePush::kPushedEvicted);
+    EXPECT_EQ(push(30), QueuePush::kPushedEvicted);
     EXPECT_EQ(evicted, std::optional<int>(10));
 
     // ...an equal-or-less valuable one is rejected, queue untouched.
-    EXPECT_EQ(queue.pushEvicting(20, less, evicted),
-              QueuePush::kRejected);
+    EXPECT_EQ(push(20), QueuePush::kRejected);
     EXPECT_FALSE(evicted.has_value());
     EXPECT_EQ(queue.size(), 2u);
 }
@@ -499,10 +504,12 @@ TEST(BoundedQueue, RejectedPushLeavesCallerItemIntact)
     BoundedQueue<std::string> queue(1);
     std::optional<std::string> evicted;
     std::string keeper = "zz-queued";
-    ASSERT_EQ(queue.pushEvicting(std::move(keeper), less, evicted),
+    ASSERT_EQ(queue.pushEvictingWithin(std::move(keeper), less, kAnyEntry,
+                                       false, evicted),
               QueuePush::kPushed);
     std::string rejected = "aa-rejected";
-    ASSERT_EQ(queue.pushEvicting(std::move(rejected), less, evicted),
+    ASSERT_EQ(queue.pushEvictingWithin(std::move(rejected), less,
+                                       kAnyEntry, false, evicted),
               QueuePush::kRejected);
     EXPECT_EQ(rejected, "aa-rejected");
 }
@@ -514,12 +521,12 @@ TEST(BoundedQueue, CloseDrainsThenStopsConsumers)
     queue.close();
     EXPECT_FALSE(queue.tryPush(8));
     std::optional<int> evicted;
-    EXPECT_EQ(queue.pushEvicting(9, std::less<int>(), evicted),
+    EXPECT_EQ(queue.pushEvictingWithin(9, std::less<int>(), kAnyEntry,
+                                       false, evicted),
               QueuePush::kClosed);
-    // Already-queued work stays poppable; then consumers get the
-    // closed-and-empty exit instead of blocking forever.
-    EXPECT_EQ(queue.popWait(), std::optional<int>(7));
-    EXPECT_EQ(queue.popWait(), std::nullopt);
+    // Already-queued work stays poppable; then consumers find it empty.
+    EXPECT_EQ(queue.tryPop(), std::optional<int>(7));
+    EXPECT_EQ(queue.tryPop(), std::nullopt);
 }
 
 namespace
@@ -686,17 +693,6 @@ TEST(BoundedQueue, PushEvictingWithinPropertyNoCrossGroupEviction)
     for (int g = 0; g < kGroups; ++g)
         EXPECT_EQ(pushed[g] - evictions[g] - popped[g], queued[g])
             << "accounting identity broke for group " << g;
-}
-
-TEST(BoundedQueue, PopWaitBlocksUntilProducerArrives)
-{
-    BoundedQueue<int> queue(1);
-    std::thread producer([&queue] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(10));
-        queue.tryPush(42);
-    });
-    EXPECT_EQ(queue.popWait(), std::optional<int>(42));
-    producer.join();
 }
 
 TEST(VirtualClock, AdvancesOnlyWhenDriven)
